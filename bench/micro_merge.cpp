@@ -2,6 +2,9 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstring>
+#include <numeric>
+#include <string>
 
 #include "common/rng.hpp"
 #include "merge/introsort.hpp"
@@ -42,6 +45,51 @@ void BM_StdSortReference(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_StdSortReference)->Arg(1 << 14)->Arg(1 << 18);
+
+// Terasort's run formation shape (TeraSortApp::merge -> the per-run sort in
+// parallel_sample_sort): 8 runs of uint64 record indices, each sorted by a
+// 10-byte memcmp key over 100-byte TeraGen-like records. The runs are sorted
+// one after another on the calling thread, so the time is the sorter's
+// alone. range(0) = indices per run.
+template <typename Sort>
+void sort_index_memcmp_runs(benchmark::State& state, Sort sort) {
+  constexpr std::size_t kRuns = 8;
+  constexpr std::size_t kRecordBytes = 100;
+  constexpr std::size_t kKeyBytes = 10;
+  const std::size_t per_run = state.range(0);
+  const std::string records = testdata::random_records(
+      kRuns * per_run, kRecordBytes, kKeyBytes, /*seed=*/7);
+  const char* data = records.data();
+  auto cmp = [data](std::uint64_t a, std::uint64_t b) {
+    return std::memcmp(data + a * kRecordBytes, data + b * kRecordBytes,
+                       kKeyBytes) < 0;
+  };
+  std::vector<std::uint64_t> base(kRuns * per_run);
+  std::iota(base.begin(), base.end(), std::uint64_t{0});
+  std::vector<std::uint64_t> index(base.size());
+  for (auto _ : state) {
+    std::copy(base.begin(), base.end(), index.begin());
+    for (std::size_t r = 0; r < kRuns; ++r)
+      sort(index.begin() + r * per_run, index.begin() + (r + 1) * per_run,
+           cmp);
+    benchmark::DoNotOptimize(index.data());
+  }
+  state.SetItemsProcessed(state.iterations() * base.size());
+}
+
+void BM_IntrosortIndexMemcmp(benchmark::State& state) {
+  sort_index_memcmp_runs(state, [](auto first, auto last, auto cmp) {
+    introsort(first, last, cmp);
+  });
+}
+BENCHMARK(BM_IntrosortIndexMemcmp)->Arg(160000)->Unit(benchmark::kMillisecond);
+
+void BM_StdSortIndexMemcmp(benchmark::State& state) {
+  sort_index_memcmp_runs(state, [](auto first, auto last, auto cmp) {
+    std::sort(first, last, cmp);
+  });
+}
+BENCHMARK(BM_StdSortIndexMemcmp)->Arg(160000)->Unit(benchmark::kMillisecond);
 
 void BM_LoserTreeMerge(benchmark::State& state) {
   const std::size_t runs = state.range(0);

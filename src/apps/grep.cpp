@@ -4,9 +4,8 @@
 #include <cassert>
 #include <cstring>
 
+#include "apps/keyed_merge.hpp"
 #include "merge/introsort.hpp"
-#include "merge/pairwise.hpp"
-#include "merge/pway.hpp"
 
 namespace supmr::apps {
 
@@ -80,16 +79,7 @@ void GrepApp::map_task(std::size_t task, std::size_t thread_id) {
 }
 
 Status GrepApp::reduce(ThreadPool& pool, std::size_t num_partitions) {
-  partitions_.assign(num_partitions, {});
-  std::vector<std::function<void(std::size_t)>> tasks;
-  for (std::size_t p = 0; p < num_partitions; ++p) {
-    tasks.push_back([this, p, num_partitions](std::size_t) {
-      partitions_[p] = container_.reduce_partition(p, num_partitions);
-    });
-  }
-  if (!pool.run_wave(tasks))
-    return Status::Internal("reduce wave dropped: thread pool shut down");
-  return Status::Ok();
+  return reduce_partitions(pool, container_, num_partitions, partitions_);
 }
 
 Status GrepApp::merge(ThreadPool& pool, const core::MergePlan& plan,

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "apps/keyed_merge.hpp"
 #include "apps/tokenize.hpp"
-#include "merge/introsort.hpp"
-#include "merge/pway.hpp"
 
 namespace supmr::apps {
 
@@ -65,48 +64,11 @@ Status InvertedIndexApp::reduce(ThreadPool& pool,
 
 Status InvertedIndexApp::merge(ThreadPool& pool, const core::MergePlan& plan,
                                merge::MergeStats* stats) {
-  auto by_word = [](const Posting& a, const Posting& b) {
-    return a.word < b.word;
-  };
-  std::vector<std::function<void(std::size_t)>> sort_tasks;
-  for (auto& part : partitions_) {
-    sort_tasks.push_back([&part, &by_word](std::size_t) {
-      merge::introsort(part.begin(), part.end(), by_word);
-    });
-  }
-  if (!pool.run_wave(sort_tasks))
-    return Status::Internal("merge sort wave dropped: thread pool shut down");
-
-  std::uint64_t total = 0;
-  for (const auto& part : partitions_) total += part.size();
-  index_.resize(total);
-
-  merge::MergeStats local;
-  if (plan.mode != core::MergeMode::kPairwise) {
-    // kPWay and kPartitioned both take the single-round p-way kernel; under
-    // kPartitioned the plan's partition count sets the key-space split (the
-    // hash-sharded reduce partitions carry no key ordering to exploit).
-    std::vector<std::span<const Posting>> runs;
-    for (const auto& part : partitions_)
-      runs.push_back(std::span<const Posting>(part.data(), part.size()));
-    const std::size_t p = plan.mode == core::MergeMode::kPartitioned
-                              ? plan.partitions
-                              : 0;  // 0 = pool-sized
-    local = merge::parallel_pway_merge(pool, std::move(runs), index_.data(),
-                                       by_word, p);
-  } else {
-    // Pairwise mode: sequential k-way concatenation + sort is acceptable for
-    // the dictionary-sized output; keep the baseline honest by re-sorting.
-    std::size_t offset = 0;
-    for (auto& part : partitions_) {
-      std::move(part.begin(), part.end(), index_.begin() + offset);
-      offset += part.size();
-    }
-    merge::introsort(index_.begin(), index_.end(), by_word);
-  }
-  partitions_.clear();
-  if (stats != nullptr) *stats = std::move(local);
-  return Status::Ok();
+  return merge_partitions(pool, plan, partitions_, index_,
+                          [](const Posting& a, const Posting& b) {
+                            return a.word < b.word;
+                          },
+                          stats);
 }
 
 std::string InvertedIndexApp::canonical_output() const {

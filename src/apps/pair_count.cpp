@@ -4,10 +4,8 @@
 #include <cassert>
 #include <functional>
 
+#include "apps/keyed_merge.hpp"
 #include "apps/tokenize.hpp"
-#include "merge/introsort.hpp"
-#include "merge/pairwise.hpp"
-#include "merge/pway.hpp"
 
 namespace supmr::apps {
 
@@ -69,63 +67,16 @@ void PairCountApp::map_task(std::size_t task, std::size_t thread_id) {
 }
 
 Status PairCountApp::reduce(ThreadPool& pool, std::size_t num_partitions) {
-  partitions_.assign(num_partitions, {});
-  std::vector<std::function<void(std::size_t)>> tasks;
-  tasks.reserve(num_partitions);
-  for (std::size_t p = 0; p < num_partitions; ++p) {
-    tasks.push_back([this, p, num_partitions](std::size_t) {
-      partitions_[p] = container_.reduce_partition(p, num_partitions);
-    });
-  }
-  if (!pool.run_wave(tasks))
-    return Status::Internal("reduce wave dropped: thread pool shut down");
-  return Status::Ok();
+  return reduce_partitions(pool, container_, num_partitions, partitions_);
 }
 
 Status PairCountApp::merge(ThreadPool& pool, const core::MergePlan& plan,
                            merge::MergeStats* stats) {
-  auto by_key = [](const Result& a, const Result& b) {
-    return a.first < b.first;
-  };
-  std::vector<std::function<void(std::size_t)>> sort_tasks;
-  for (auto& part : partitions_) {
-    sort_tasks.push_back([&part, &by_key](std::size_t) {
-      merge::introsort(part.begin(), part.end(), by_key);
-    });
-  }
-  if (!pool.run_wave(sort_tasks))
-    return Status::Internal("merge sort wave dropped: thread pool shut down");
-
-  std::uint64_t total = 0;
-  for (const auto& part : partitions_) total += part.size();
-  results_.resize(total);
-
-  merge::MergeStats local;
-  if (plan.mode != core::MergeMode::kPairwise) {
-    std::vector<std::span<const Result>> runs;
-    runs.reserve(partitions_.size());
-    for (const auto& part : partitions_)
-      runs.push_back(std::span<const Result>(part.data(), part.size()));
-    const std::size_t p = plan.mode == core::MergeMode::kPartitioned
-                              ? plan.partitions
-                              : 0;
-    local = merge::parallel_pway_merge(pool, std::move(runs),
-                                       results_.data(), by_key, p);
-  } else {
-    std::vector<std::span<Result>> runs;
-    std::size_t offset = 0;
-    for (auto& part : partitions_) {
-      std::copy(part.begin(), part.end(), results_.begin() + offset);
-      runs.push_back(std::span<Result>(results_.data() + offset, part.size()));
-      offset += part.size();
-    }
-    local = merge::pairwise_merge(
-        pool, std::move(runs),
-        std::span<Result>(results_.data(), results_.size()), by_key);
-  }
-  partitions_.clear();
-  if (stats != nullptr) *stats = std::move(local);
-  return Status::Ok();
+  return merge_partitions(pool, plan, partitions_, results_,
+                          [](const Result& a, const Result& b) {
+                            return a.first < b.first;
+                          },
+                          stats);
 }
 
 std::string PairCountApp::canonical_output() const {

@@ -105,9 +105,10 @@ struct IngestChunk {
 // no-op (nothing to recycle), keeping 0-byte chunks well-defined.
 class ChunkBufferPool {
  public:
-  // A single pipeline needs ingest depth + 1 retained buffers (the double
-  // buffer holds one, the producer fills one, the consumer drains one);
-  // kBuffersPerPipeline rounds that up with one slack slot. When N jobs
+  // A single pipeline keeps at most 4 buffers live: the double buffer's 2
+  // resident slots, the one the consumer drains, and the one the producer
+  // fills (it acquires that one only after handing off its previous chunk,
+  // so it never holds two). When N jobs
   // share one pool (JobManager), size the cap from the lease:
   // N * kBuffersPerPipeline — a cap sized for one pipeline would thrash,
   // with concurrent pipelines stealing each other's warm buffers and

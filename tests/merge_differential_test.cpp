@@ -7,7 +7,8 @@
 //
 // Backends: pairwise, f-way, parallel p-way, loser tree, sample sort,
 // pairwise merge sort, f-way merge sort, partitioned_sort /
-// partitioned_merge (the new per-partition path), and the external sorter
+// partitioned_merge (the new per-partition path), the keyed apps' shared
+// apps::merge_partitions under each MergeMode, and the external sorter
 // (flat and per-partition spills) with key sizes 7/8/9 straddling the
 // comparator's 8-byte word boundary.
 //
@@ -21,6 +22,8 @@
 #include <string>
 #include <vector>
 
+#include "apps/keyed_merge.hpp"
+#include "core/job_config.hpp"
 #include "merge/external_sorter.hpp"
 #include "merge/fway.hpp"
 #include "merge/loser_tree.hpp"
@@ -61,6 +64,40 @@ struct Backend {
   // output by whatever path the backend implements.
   std::function<std::vector<int>(ThreadPool&, const std::vector<int>&)> run;
 };
+
+// Deals `in` round-robin into `k` unsorted partitions, leaving partition k/2
+// empty when k > 1: the hash-sharded reduce output the keyed apps hand to
+// apps::merge_partitions.
+std::vector<std::vector<int>> make_partitions(const std::vector<int>& in,
+                                              std::size_t k) {
+  std::vector<std::vector<int>> parts(k);
+  const std::size_t filled = k > 1 ? k - 1 : 1;
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    std::size_t p = i % filled;
+    if (k > 1 && p >= k / 2) ++p;
+    parts[p].push_back(in[i]);
+  }
+  return parts;
+}
+
+Backend apps_merge(std::string name, core::MergePlan plan, std::size_t k) {
+  return {std::move(name), [plan, k](ThreadPool& pool,
+                                     const std::vector<int>& in) {
+    auto parts = make_partitions(in, k);
+    std::vector<int> out;
+    MergeStats stats;
+    const Status st = apps::merge_partitions(pool, plan, parts, out,
+                                             std::less<int>{}, &stats);
+    EXPECT_TRUE(st.ok()) << st.to_string();
+    EXPECT_TRUE(parts.empty());
+    if (plan.mode == core::MergeMode::kPairwise && k > 1) {
+      std::size_t rounds = 0;
+      for (std::size_t runs = k; runs > 1; runs = (runs + 1) / 2) ++rounds;
+      EXPECT_EQ(stats.rounds.size(), rounds);
+    }
+    return out;
+  }};
+}
 
 std::vector<Backend> all_backends() {
   const auto cmp = std::less<int>{};
@@ -160,6 +197,16 @@ std::vector<Backend> all_backends() {
     partitioned_merge(pool, std::move(parts), out.data(), cmp);
     return out;
   }});
+
+  backends.push_back(apps_merge(
+      "apps_merge_pairwise", {core::MergeMode::kPairwise, 1}, /*k=*/6));
+  // The sequential oracle's shape (ref::run_ref): one partition, pairwise.
+  backends.push_back(apps_merge(
+      "apps_merge_pairwise_single", {core::MergeMode::kPairwise, 1}, 1));
+  backends.push_back(
+      apps_merge("apps_merge_pway", {core::MergeMode::kPWay, 1}, 7));
+  backends.push_back(apps_merge("apps_merge_partitioned",
+                                {core::MergeMode::kPartitioned, 3}, 5));
 
   return backends;
 }

@@ -44,6 +44,12 @@
 #               (N worker nodes run concurrently on private pools), then
 #               the checked-in cluster spec through the instrumented
 #               `supmr cluster` CLI — must report "conformance: PASS"
+#   perf-smoke — one 1-second perfbench run (perfbench/run.py, its own
+#               build under .bench_build/) per benchmark workload (wc-zipf,
+#               wc-wide, terasort, serve-mix) on the library defaults
+#               (kIngestMR/kPWay/kRead/kDefault); the last stdout line must
+#               be JSON with "correct": true and "failed": 0, i.e. every
+#               timed job matched the oracle's digest and result count
 #
 # Usage:
 #   tools/check.sh            # all stages
@@ -61,7 +67,7 @@ SUPP="${ROOT}/tools/sanitizers"
 STAGES=("$@")
 [ ${#STAGES[@]} -eq 0 ] &&
   STAGES=(plain tsan asan obs-smoke fault-smoke coverage harness harness-asan
-    jobmix-smoke graph-smoke combining-smoke cluster-smoke)
+    jobmix-smoke graph-smoke combining-smoke cluster-smoke perf-smoke)
 
 # Branch-point line-coverage floors for the merge-critical layers (the
 # coverage stage fails if a change lets these regress).
@@ -338,8 +344,28 @@ run_stage() {
         { echo "cluster-smoke: checked-in cluster spec is not conformant" >&2
           return 1; }
       ;;
+    perf-smoke)
+      # The benchmark's oracle-digest check on the default code path. Only
+      # correctness is gated here; timings from a 1-second run mean nothing.
+      local workload last
+      for workload in wc-zipf wc-wide terasort serve-mix; do
+        last="$(cd "${ROOT}" && python3 perfbench/run.py           --workload "${workload}" --seed 1 --seconds 1 --trace 0 |
+          tail -n 1)" || true
+        python3 -c '
+import json, sys
+try:
+    r = json.loads(sys.argv[1])
+except ValueError:
+    sys.exit(1)
+sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)
+' "${last}" ||
+          { echo "perf-smoke: ${workload} failed its oracle check: ${last}" >&2
+            return 1; }
+        echo "perf-smoke: ${workload} correct"
+      done
+      ;;
     *)
-      echo "unknown stage '${stage}' (want plain, tsan, asan, obs-smoke, fault-smoke, coverage, harness, harness-asan, jobmix-smoke, graph-smoke, combining-smoke, or cluster-smoke)" >&2
+      echo "unknown stage '${stage}' (want plain, tsan, asan, obs-smoke, fault-smoke, coverage, harness, harness-asan, jobmix-smoke, graph-smoke, combining-smoke, cluster-smoke, or perf-smoke)" >&2
       return 2
       ;;
   esac
